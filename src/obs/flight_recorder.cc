@@ -99,14 +99,23 @@ void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
   if (!enabled_.load(std::memory_order_relaxed)) return;  // order: advisory flag; a racing toggle may record or skip one event
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);  // order: ticket allocation only; slot hand-off syncs via marker acq/rel
   Slot& slot = slots_[ticket & mask_];
-  // Mark busy so a concurrent reader drops this slot instead of reporting
-  // a mix of the old and new event.
-  slot.marker.store(kBusy, std::memory_order_relaxed);  // order: fence below orders this before the payload stores
-  // Without this fence the relaxed kBusy store could become visible after
-  // the payload stores, and a reader copying a torn payload would pass its
+  // Lap-aware claim: only an idle slot holding an older ticket may move to
+  // "busy with this ticket". Lapped by a newer ticket, or the slot is busy
+  // with another write: skip rather than interleave two payloads.
+  uint64_t marker = slot.marker.load(std::memory_order_relaxed);  // order: claim hint only; the CAS below re-validates it
+  do {
+    if (marker != kEmpty && (IsBusy(marker) || TicketOf(marker) > ticket)) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);  // order: monotonic stat counter; no data is published through it
+      return;
+    }
+  } while (!slot.marker.compare_exchange_weak(
+      marker, BusyMarker(ticket), std::memory_order_acquire,  // acquire: the previous owner's payload stores happen-before ours
+      std::memory_order_relaxed));  // order: failed claim only reloads the marker for the next check
+  // Without this fence the busy marker could become visible after the
+  // payload stores, and a reader copying a torn payload would pass its
   // unchanged-marker re-check.
-  std::atomic_thread_fence(std::memory_order_release);  // order: pins kBusy before every payload store
-  slot.timestamp_micros.store(NowMicros(), std::memory_order_relaxed);  // order: payload; fenced after kBusy, released by the marker publish
+  std::atomic_thread_fence(std::memory_order_release);  // order: pins the busy marker before every payload store
+  slot.timestamp_micros.store(NowMicros(), std::memory_order_relaxed);  // order: payload; fenced after the busy claim, released by the marker publish
   slot.kind.store(static_cast<uint32_t>(kind), std::memory_order_relaxed);  // order: payload; see timestamp_micros above
   slot.a.store(a, std::memory_order_relaxed);  // order: payload; see timestamp_micros above
   slot.b.store(b, std::memory_order_relaxed);  // order: payload; see timestamp_micros above
@@ -120,15 +129,15 @@ void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
     slot.detail_words[i].store(words[i], std::memory_order_relaxed);  // order: payload; see timestamp_micros above
   }
   // Publish: readers acquire-load the marker before copying the payload.
-  slot.marker.store(ticket + 1, std::memory_order_release);
+  slot.marker.store(PublishedMarker(ticket), std::memory_order_release);
 }
 
 bool FlightRecorder::ReadSlot(const Slot& slot, FlightEvent* out) const
     noexcept {
   const uint64_t before = slot.marker.load(std::memory_order_acquire);
-  if (before == kEmpty || before == kBusy) return false;
+  if (before == kEmpty || IsBusy(before)) return false;
   FlightEvent ev;
-  ev.seq = before - 1;
+  ev.seq = TicketOf(before);
   ev.timestamp_micros = slot.timestamp_micros.load(std::memory_order_relaxed);  // order: seqlock payload read; fence + marker re-check validate it
   ev.kind = static_cast<FlightEventKind>(
       slot.kind.load(std::memory_order_relaxed));  // order: seqlock payload read; see timestamp load above

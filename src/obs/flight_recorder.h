@@ -42,15 +42,20 @@ struct FlightEvent {
 
 /// Fixed-size lock-free multi-writer ring of FlightEvents.
 ///
-/// Writers claim a global ticket with one fetch_add, then publish the
-/// payload of slot `ticket % capacity` under a per-slot sequence marker:
-/// the slot's `marker` is set to kBusy (relaxed), payload fields (all plain
-/// atomics, relaxed) are stored, then `marker` is release-stored to
-/// `ticket + 1`. Readers acquire-load the marker, copy the payload, and
-/// re-check the marker; a slot whose marker changed mid-copy (or is kBusy)
-/// is being rewritten by a wrapped writer and is skipped. Nothing blocks:
-/// a stalled reader can at worst drop slots that were overwritten while it
-/// was copying, which is the intended semantics of a flight recorder.
+/// Writers claim a global ticket with one fetch_add, then claim slot
+/// `ticket % capacity` with a lap-aware CAS on its per-slot sequence
+/// marker (Vyukov's per-cell sequence, as in serve/ingest_queue): the CAS
+/// succeeds only while the slot is idle and holds an older ticket, and it
+/// moves the marker to "busy with this ticket". The claimant then stores
+/// the payload (all plain atomics, relaxed) and release-stores the marker
+/// to "published with this ticket". A writer that finds the slot busy, or
+/// already holding a newer ticket (it was lapped), skips the slot and
+/// counts the event in dropped(); it never touches a write in progress, so
+/// at most one writer owns a slot at a time. Markers only grow, so a reader
+/// that acquire-loads a published marker, copies the payload and re-checks
+/// an unchanged marker has seen exactly one event. Nothing blocks: a
+/// stalled reader can at worst drop slots that were rewritten while it was
+/// copying, which is the intended semantics of a flight recorder.
 ///
 /// All payload fields are atomics accessed relaxed, so a torn read of a
 /// slot being concurrently rewritten is detected by the marker re-check
@@ -91,18 +96,31 @@ class FlightRecorder {
     return enabled_.load(std::memory_order_relaxed);  // order: advisory flag read; exactness not required
   }
 
-  /// Total events ever recorded (including overwritten ones).
+  /// Total events ever recorded (including overwritten and dropped ones).
   uint64_t total_recorded() const noexcept {
     return head_.load(std::memory_order_relaxed);  // order: monotonic stat; readers tolerate a slightly stale count
+  }
+
+  /// Events whose writer skipped its slot: lapped by a newer ticket, or the
+  /// slot was busy with another write.
+  uint64_t dropped() const noexcept {
+    return dropped_.load(std::memory_order_relaxed);  // order: monotonic stat; readers tolerate a slightly stale count
   }
 
   size_t capacity() const noexcept { return slots_.size(); }
 
  private:
-  // Marker protocol: kEmpty = never written; kBusy = writer mid-store;
-  // otherwise marker == ticket + 1 of the event currently in the slot.
+  // Marker protocol: kEmpty = never written; 2 * ticket + 1 = the writer
+  // holding `ticket` is mid-store; 2 * ticket + 2 = the event of `ticket`
+  // is published. Either way (marker - 1) / 2 is the slot's ticket, and a
+  // slot's marker only ever increases.
   static constexpr uint64_t kEmpty = 0;
-  static constexpr uint64_t kBusy = ~uint64_t{0};
+  static uint64_t BusyMarker(uint64_t ticket) noexcept { return 2 * ticket + 1; }
+  static uint64_t PublishedMarker(uint64_t ticket) noexcept {
+    return 2 * ticket + 2;
+  }
+  static bool IsBusy(uint64_t marker) noexcept { return (marker & 1) != 0; }
+  static uint64_t TicketOf(uint64_t marker) noexcept { return (marker - 1) / 2; }
 
   struct alignas(64) Slot {
     std::atomic<uint64_t> marker{kEmpty};
@@ -123,6 +141,7 @@ class FlightRecorder {
   std::vector<Slot> slots_;
   size_t mask_;
   std::atomic<uint64_t> head_{0};
+  std::atomic<uint64_t> dropped_{0};
   std::atomic<bool> enabled_{true};
   uint64_t start_micros_;  // steady-clock origin, set once in the ctor
 };

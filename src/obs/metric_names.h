@@ -46,6 +46,8 @@ inline constexpr char kRicdExtractionRoundRechecks[] =
 inline constexpr char kRicdExtractionRounds[] = "ricd.extraction.rounds";
 inline constexpr char kRicdExtractionScratchReuses[] =
     "ricd.extraction.scratch_reuses";
+inline constexpr char kRicdExtractionSquareInputEdges[] =
+    "ricd.extraction.square_input_edges";
 inline constexpr char kRicdExtractionSweeps[] = "ricd.extraction.sweeps";
 inline constexpr char kRicdExtractionUsersPrunedCore[] =
     "ricd.extraction.users_pruned_core";

@@ -3,9 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 
 #include "check/validate.h"
 #include "engine/worker_buffers.h"
+#include "graph/adopted_graph.h"
 #include "graph/connected_components.h"
 #include "graph/intersection.h"
 #include "obs/metrics.h"
@@ -34,6 +37,7 @@ struct ExtractionCounters {
   obs::Counter* round_rechecks;
   obs::Counter* core_levels;
   obs::Counter* scratch_reuses;
+  obs::Counter* square_input_edges;
 
   static const ExtractionCounters& Get() {
     static const ExtractionCounters counters = [] {
@@ -48,7 +52,9 @@ struct ExtractionCounters {
           registry.GetCounter(obs::metric_names::kRicdExtractionRounds),
           registry.GetCounter(obs::metric_names::kRicdExtractionRoundRechecks),
           registry.GetCounter(obs::metric_names::kRicdExtractionCoreLevels),
-          registry.GetCounter(obs::metric_names::kRicdExtractionScratchReuses)};
+          registry.GetCounter(obs::metric_names::kRicdExtractionScratchReuses),
+          registry.GetCounter(
+              obs::metric_names::kRicdExtractionSquareInputEdges)};
     }();
     return counters;
   }
@@ -94,6 +100,57 @@ bool PassesLemma2(const graph::MutableView& view, Side side, VertexId x,
 
   for (const VertexId y : scratch.touched) scratch.counts[y] = 0;
   return qualified >= neighbors_needed;
+}
+
+/// The active vertices of a view compacted into their own adopted CSR.
+/// On each side a survivor's local id is its rank among the survivors, so
+/// `user_source`/`item_source` (local id -> source id) are ascending and
+/// the mapping is monotone. Only live-to-live edges are kept, with their
+/// clicks.
+struct CompactSurvivors {
+  graph::BipartiteGraph graph;
+  std::vector<VertexId> user_source;
+  std::vector<VertexId> item_source;
+};
+
+CompactSurvivors CompactActive(const graph::MutableView& view) {
+  const graph::BipartiteGraph& g = view.graph();
+  CompactSurvivors out;
+  out.user_source = view.ActiveVertices(Side::kUser);
+  out.item_source = view.ActiveVertices(Side::kItem);
+  std::vector<VertexId> item_local(g.num_items(), 0);
+  for (size_t i = 0; i < out.item_source.size(); ++i) {
+    item_local[out.item_source[i]] = static_cast<VertexId>(i);
+  }
+
+  auto storage = std::make_shared<graph::AdoptedStorage>();
+  uint64_t live_edges = 0;
+  storage->user_ids.reserve(out.user_source.size());
+  for (const VertexId u : out.user_source) {
+    storage->user_ids.push_back(g.ExternalUserId(u));
+    live_edges += view.ActiveDegree(Side::kUser, u);
+  }
+  storage->item_ids.reserve(out.item_source.size());
+  for (const VertexId v : out.item_source) {
+    storage->item_ids.push_back(g.ExternalItemId(v));
+  }
+  storage->user_offsets.reserve(out.user_source.size() + 1);
+  storage->user_adj.reserve(live_edges);
+  storage->user_clicks.reserve(live_edges);
+  // Source adjacency is sorted and item_local is monotone, so each
+  // survivor's compact adjacency comes out sorted as well.
+  for (const VertexId u : out.user_source) {
+    const auto neighbors = g.UserNeighbors(u);
+    const auto clicks = g.UserEdgeClicks(u);
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      if (!view.IsActive(Side::kItem, neighbors[i])) continue;
+      storage->user_adj.push_back(item_local[neighbors[i]]);
+      storage->user_clicks.push_back(clicks[i]);
+    }
+    storage->user_offsets.push_back(storage->user_adj.size());
+  }
+  out.graph = graph::BuildAdoptedGraph(std::move(storage));
+  return out;
 }
 
 }  // namespace
@@ -374,16 +431,37 @@ Result<std::vector<graph::Group>> ExtensionBicliqueExtractor::ExtractImpl(
   RICD_TRACE_SPAN("ricd.extraction");
   graph::MutableView view(graph);
   CorePruning(view, stats);
+
+  // Square pruning walks two hops per candidate, so it runs on the core
+  // survivors compacted into their own CSR: the dead neighbours of hot
+  // items drop out of every walk. Compact ids are survivor ranks, a
+  // monotone map, so the candidate order and its stable_sort tie-breaks,
+  // every Lemma-2 count, the component emission order and the member order
+  // all carry over, and mapping members back reproduces the uncompacted
+  // run bit for bit (DESIGN.md §9). When core pruning removed nothing the
+  // source graph already is that CSR and no copy is made.
+  std::optional<CompactSurvivors> compact;
+  std::optional<graph::MutableView> compact_view;
+  if (square && (view.NumActive(Side::kUser) < graph.num_users() ||
+                 view.NumActive(Side::kItem) < graph.num_items())) {
+    RICD_TRACE_SPAN("ricd.extraction.compact");
+    compact = CompactActive(view);
+    compact_view.emplace(compact->graph);
+  }
+  graph::MutableView& active = compact_view ? *compact_view : view;
+
   if (square) {
+    ExtractionCounters::Get().square_input_edges->Add(
+        active.graph().num_edges());
     for (uint32_t sweep = 0; sweep < params_.square_pruning_sweeps; ++sweep) {
       const uint32_t before =
-          view.NumActive(Side::kUser) + view.NumActive(Side::kItem);
-      SquarePruning(view, /*ordered=*/true, stats);
-      CorePruning(view, stats);
+          active.NumActive(Side::kUser) + active.NumActive(Side::kItem);
+      SquarePruning(active, /*ordered=*/true, stats);
+      CorePruning(active, stats);
       if (stats != nullptr) ++stats->sweeps_run;
       ExtractionCounters::Get().sweeps->Add(1);
       const uint32_t after =
-          view.NumActive(Side::kUser) + view.NumActive(Side::kItem);
+          active.NumActive(Side::kUser) + active.NumActive(Side::kItem);
       if (after == before) break;
     }
   }
@@ -391,12 +469,16 @@ Result<std::vector<graph::Group>> ExtensionBicliqueExtractor::ExtractImpl(
   std::vector<graph::Group> groups;
   {
     RICD_TRACE_SPAN("ricd.extraction.components");
-    auto components = graph::ActiveConnectedComponents(view);
+    auto components = graph::ActiveConnectedComponents(active);
     for (auto& c : components) {
       if (c.users.size() < params_.k1 || c.items.size() < params_.k2) continue;
       if (params_.max_group_users > 0 &&
           c.users.size() > params_.max_group_users) {
         continue;  // Property (4b): likely group buying, not an attack.
+      }
+      if (compact) {
+        for (VertexId& u : c.users) u = compact->user_source[u];
+        for (VertexId& v : c.items) v = compact->item_source[v];
       }
       groups.push_back(std::move(c));
     }
@@ -404,7 +486,10 @@ Result<std::vector<graph::Group>> ExtensionBicliqueExtractor::ExtractImpl(
   ExtractionCounters::Get().candidate_groups->Add(groups.size());
 
   if (check::ValidationEnabled()) {
-    RICD_RETURN_IF_ERROR(check::ValidateMutableView(view));
+    if (compact) {
+      RICD_RETURN_IF_ERROR(check::ValidateBipartiteGraph(compact->graph));
+    }
+    RICD_RETURN_IF_ERROR(check::ValidateMutableView(active));
     // Both arms end on a CorePruning fixpoint, and a component contains all
     // of its members' active neighbors — so every emitted group owes the
     // alpha condition against the source graph (Lemma 1).

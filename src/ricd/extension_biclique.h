@@ -56,9 +56,11 @@ class ExtensionBicliqueExtractor {
       PruneSchedule schedule = PruneSchedule::FromEnv())
       : params_(params), engine_(engine), schedule_(schedule) {}
 
-  /// Runs pruning + component extraction over `graph`. Fails with
-  /// InvalidArgument on out-of-domain parameters (alpha outside (0, 1],
-  /// zero k1/k2).
+  /// Runs pruning + component extraction over `graph`. Square pruning runs
+  /// on the core survivors compacted into their own CSR; groups and stats
+  /// equal those of the hooks composed on `graph` itself (DESIGN.md §9.5).
+  /// Fails with InvalidArgument on out-of-domain parameters (alpha outside
+  /// (0, 1], zero k1/k2).
   Result<std::vector<graph::Group>> Extract(const graph::BipartiteGraph& graph,
                                             ExtractionStats* stats = nullptr) const;
 

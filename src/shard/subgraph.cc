@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "graph/graph_builder.h"
+#include "graph/adopted_graph.h"
 
 namespace ricd::shard {
 namespace {
@@ -39,89 +39,38 @@ struct ClosureEdge {
   uint8_t survivor;
 };
 
-/// Builds one adopted CSR graph over `edges` (sorted by (gu, gv), each pair
-/// unique) with vertex sets `user_globals`/`item_globals` (sorted global
-/// ids; exactly the endpoints of `edges`). Local ids are ranks in those
-/// arrays, so both sides are order-preserving in the global ids and the
-/// user-side adjacency arrives already sorted; the item side is a counting
-/// transpose filled in ascending user order, which keeps it sorted too.
-graph::BipartiteGraph BuildAdopted(std::span<const ClosureEdge> edges,
-                                   const std::vector<VertexId>& user_globals,
-                                   const std::vector<VertexId>& item_globals,
-                                   const ShardedGraph& sg,
-                                   std::span<const VertexId> user_local,
-                                   std::span<const VertexId> item_local) {
-  auto storage = std::make_shared<SubgraphStorage>();
-  const size_t num_u = user_globals.size();
-  const size_t num_v = item_globals.size();
-  const size_t num_e = edges.size();
-
-  storage->user_ids.reserve(num_u);
-  storage->item_ids.reserve(num_v);
+/// Adopts the graph over `edges` (sorted by (gu, gv), each pair unique)
+/// with vertex sets `user_globals`/`item_globals` (sorted global ids;
+/// exactly the endpoints of `edges`). Local ids are ranks in those arrays,
+/// so both sides are order-preserving in the global ids and each user's
+/// adjacency arrives already sorted.
+graph::BipartiteGraph BuildSubgraph(std::span<const ClosureEdge> edges,
+                                    const std::vector<VertexId>& user_globals,
+                                    const std::vector<VertexId>& item_globals,
+                                    const ShardedGraph& sg,
+                                    std::span<const VertexId> user_local,
+                                    std::span<const VertexId> item_local) {
+  auto storage = std::make_shared<graph::AdoptedStorage>();
+  storage->user_ids.reserve(user_globals.size());
+  storage->item_ids.reserve(item_globals.size());
   for (const VertexId gu : user_globals) {
     storage->user_ids.push_back(sg.user_ids[gu]);
   }
   for (const VertexId gv : item_globals) {
     storage->item_ids.push_back(sg.item_ids[gv]);
   }
-  storage->user_lookup_sorted =
-      graph::GraphBuilder::ArgsortByExternalId(storage->user_ids);
-  storage->item_lookup_sorted =
-      graph::GraphBuilder::ArgsortByExternalId(storage->item_ids);
-
-  storage->user_offsets.assign(num_u + 1, 0);
-  storage->item_offsets.assign(num_v + 1, 0);
-  storage->user_total_clicks.assign(num_u, 0);
-  storage->item_total_clicks.assign(num_v, 0);
-  storage->user_adj.resize(num_e);
-  storage->user_clicks.resize(num_e);
-  storage->item_adj.resize(num_e);
-  storage->item_clicks.resize(num_e);
-
+  storage->user_offsets.assign(user_globals.size() + 1, 0);
+  storage->user_adj.reserve(edges.size());
+  storage->user_clicks.reserve(edges.size());
   for (const ClosureEdge& e : edges) {
     ++storage->user_offsets[user_local[e.gu] + 1];
-    ++storage->item_offsets[item_local[e.gv] + 1];
+    storage->user_adj.push_back(item_local[e.gv]);
+    storage->user_clicks.push_back(e.clicks);
   }
-  for (size_t u = 0; u < num_u; ++u) {
+  for (size_t u = 0; u < user_globals.size(); ++u) {
     storage->user_offsets[u + 1] += storage->user_offsets[u];
   }
-  for (size_t v = 0; v < num_v; ++v) {
-    storage->item_offsets[v + 1] += storage->item_offsets[v];
-  }
-
-  std::vector<uint64_t> ucursor(storage->user_offsets.begin(),
-                                storage->user_offsets.end() - 1);
-  std::vector<uint64_t> icursor(storage->item_offsets.begin(),
-                                storage->item_offsets.end() - 1);
-  for (const ClosureEdge& e : edges) {
-    const VertexId lu = user_local[e.gu];
-    const VertexId lv = item_local[e.gv];
-    storage->user_adj[ucursor[lu]] = lv;
-    storage->user_clicks[ucursor[lu]] = e.clicks;
-    ++ucursor[lu];
-    storage->item_adj[icursor[lv]] = lu;
-    storage->item_clicks[icursor[lv]] = e.clicks;
-    ++icursor[lv];
-    storage->user_total_clicks[lu] += e.clicks;
-    storage->item_total_clicks[lv] += e.clicks;
-    storage->total_clicks += e.clicks;
-  }
-
-  graph::GraphSections sections;
-  sections.user_offsets = storage->user_offsets;
-  sections.item_offsets = storage->item_offsets;
-  sections.user_adj = storage->user_adj;
-  sections.item_adj = storage->item_adj;
-  sections.user_clicks = storage->user_clicks;
-  sections.item_clicks = storage->item_clicks;
-  sections.user_total_clicks = storage->user_total_clicks;
-  sections.item_total_clicks = storage->item_total_clicks;
-  sections.user_ids = storage->user_ids;
-  sections.item_ids = storage->item_ids;
-  sections.user_lookup_sorted = storage->user_lookup_sorted;
-  sections.item_lookup_sorted = storage->item_lookup_sorted;
-  sections.total_clicks = storage->total_clicks;
-  return graph::BipartiteGraph::AdoptExternal(sections, std::move(storage));
+  return graph::BuildAdoptedGraph(std::move(storage));
 }
 
 VertexId RankOf(const std::vector<VertexId>& sorted_globals, VertexId g) {
@@ -311,9 +260,9 @@ Result<std::vector<ExtractionShard>> BuildExtractionShards(
     for (size_t i = 0; i < shard.closure_item_global.size(); ++i) {
       item_local[shard.closure_item_global[i]] = static_cast<VertexId>(i);
     }
-    shard.closure = BuildAdopted(edges, shard.closure_user_global,
-                                 shard.closure_item_global, sg, user_local,
-                                 item_local);
+    shard.closure = BuildSubgraph(edges, shard.closure_user_global,
+                                  shard.closure_item_global, sg, user_local,
+                                  item_local);
 
     // Survivor graph over the survivor-survivor subset.
     for (size_t i = 0; i < shard.survivor_user_global.size(); ++i) {
@@ -323,8 +272,8 @@ Result<std::vector<ExtractionShard>> BuildExtractionShards(
       item_local[shard.survivor_item_global[i]] = static_cast<VertexId>(i);
     }
     shard.survivor =
-        BuildAdopted(survivor_edges, shard.survivor_user_global,
-                     shard.survivor_item_global, sg, user_local, item_local);
+        BuildSubgraph(survivor_edges, shard.survivor_user_global,
+                      shard.survivor_item_global, sg, user_local, item_local);
 
     // Reset only the slots this shard touched (closure is a superset of
     // survivor on both sides).

@@ -46,25 +46,6 @@ std::vector<uint32_t> RouteComponents(const ComponentSet& comps,
                                       uint32_t num_shards,
                                       BalancePolicy policy);
 
-/// Owned backing arrays of an adopted per-shard subgraph (the GraphSections
-/// exchange format over heap vectors instead of an mmap). Held alive by the
-/// BipartiteGraph's retention shared_ptr.
-struct SubgraphStorage {
-  std::vector<uint64_t> user_offsets{0};
-  std::vector<uint64_t> item_offsets{0};
-  std::vector<graph::VertexId> user_adj;
-  std::vector<graph::VertexId> item_adj;
-  std::vector<table::ClickCount> user_clicks;
-  std::vector<table::ClickCount> item_clicks;
-  std::vector<uint64_t> user_total_clicks;
-  std::vector<uint64_t> item_total_clicks;
-  std::vector<table::UserId> user_ids;
-  std::vector<table::ItemId> item_ids;
-  std::vector<graph::VertexId> user_lookup_sorted;
-  std::vector<graph::VertexId> item_lookup_sorted;
-  uint64_t total_clicks = 0;
-};
-
 /// One extraction shard: the components routed to it, materialized as two
 /// adopted graphs over the same global vertex ids.
 ///

@@ -1,7 +1,7 @@
 // Flight recorder (src/obs/flight_recorder) and request-trace sampling
 // (src/obs/request_trace) coverage: ring semantics, wrap-around, the
-// seqlock-per-slot read protocol under concurrent writers, signal-safe fd
-// dumps, and the deterministic 1-in-N request sampler.
+// lap-aware slot claim and seqlock read protocol under concurrent writers,
+// signal-safe fd dumps, and the deterministic 1-in-N request sampler.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -51,6 +51,8 @@ TEST(FlightRecorderTest, WrapKeepsNewestCapacityEvents) {
     EXPECT_EQ(events[i].a, 6 + i);
   }
   EXPECT_EQ(recorder.total_recorded(), 10u);
+  // One writer is never lapped and never finds a slot busy.
+  EXPECT_EQ(recorder.dropped(), 0u);
 }
 
 TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
@@ -173,6 +175,9 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverProduceTornEvents) {
 
   EXPECT_EQ(recorder.total_recorded(),
             static_cast<uint64_t>(kWriters) * kEventsPerWriter);
+  // Lapped writers skip their slot instead of sharing it, so some events
+  // may be dropped — but every slot still ends holding a published event.
+  EXPECT_LT(recorder.dropped(), recorder.total_recorded());
   EXPECT_EQ(recorder.Dump().size(), recorder.capacity());
 }
 

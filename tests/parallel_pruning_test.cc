@@ -1,8 +1,10 @@
 // Differential tests for the deterministic parallel pruning phases: the
 // round-based SquarePruning and frontier CorePruning must produce output
 // bit-identical to the sequential reference schedule for every worker
-// count, seed, and parameter shape. Also unit-tests the two scheduling
-// building blocks (RoundScheduler, PerWorkerBuffers).
+// count, seed, and parameter shape; Extract, which square-prunes the core
+// survivors compacted into their own CSR, must match the same hooks
+// composed on the uncompacted source view. Also unit-tests the two
+// scheduling building blocks (RoundScheduler, PerWorkerBuffers).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +15,10 @@
 #include "common/random.h"
 #include "engine/worker_buffers.h"
 #include "engine/worker_engine.h"
+#include "graph/connected_components.h"
 #include "graph/graph_builder.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "ricd/extension_biclique.h"
 #include "ricd/identification.h"
 #include "ricd/round_scheduler.h"
@@ -40,23 +45,29 @@ PruneSchedule ForcedParallelSchedule() {
 
 /// Messy workload: three overlapping planted bicliques of different sizes
 /// plus background noise, so pruning has real cascades to resolve (square
-/// removals re-triggering core removals across several sweeps).
-table::ClickTable MakeWorkload(uint64_t seed) {
+/// removals re-triggering core removals across several sweeps). Rows are
+/// consolidated into (user, item) order and dense ids follow first-seen
+/// order, so the planted users and items take the lowest ids. With
+/// `planted_last` their user ids sort after the noise users instead: the
+/// core survivors are then no prefix of either side's ids, and a compaction
+/// that maps them back wrongly cannot pass by accident.
+table::ClickTable MakeWorkload(uint64_t seed, bool planted_last = false) {
   table::ClickTable t;
   Rng rng(seed);
+  const table::UserId base = planted_last ? 20000 : 0;
   // Biclique A: 10x10 over users [100,110), items [1000,1010).
   for (uint32_t u = 0; u < 10; ++u) {
-    for (uint32_t i = 0; i < 10; ++i) t.Append(100 + u, 1000 + i, 7);
+    for (uint32_t i = 0; i < 10; ++i) t.Append(base + 100 + u, 1000 + i, 7);
   }
   // Biclique B: 7x12, sharing three of A's items.
   for (uint32_t u = 0; u < 7; ++u) {
-    for (uint32_t i = 0; i < 12; ++i) t.Append(200 + u, 1007 + i, 7);
+    for (uint32_t i = 0; i < 12; ++i) t.Append(base + 200 + u, 1007 + i, 7);
   }
   // Biclique C: 6x6 minus a diagonal (imperfect, needs alpha < 1).
   for (uint32_t u = 0; u < 6; ++u) {
     for (uint32_t i = 0; i < 6; ++i) {
       if (u == i) continue;
-      t.Append(300 + u, 2000 + i, 7);
+      t.Append(base + 300 + u, 2000 + i, 7);
     }
   }
   // Noise: 400 users clicking 2-5 random items from a 300-item pool.
@@ -152,6 +163,182 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(std::tuple<uint32_t, uint32_t, double>{6, 6, 1.0},
                           std::tuple<uint32_t, uint32_t, double>{5, 5, 0.8},
                           std::tuple<uint32_t, uint32_t, double>{3, 4, 0.6})));
+
+/// The uncompacted reference for Extract: the public hooks composed on a
+/// view of the source graph itself — CorePruning, then SquarePruning +
+/// CorePruning sweeps until a sweep changes nothing, then
+/// ActiveConnectedComponents under Extract's size filters. Sequential
+/// (one worker). `live_after_core` receives the live edge count the sweeps
+/// start from.
+std::vector<graph::Group> UncompactedReference(const graph::BipartiteGraph& g,
+                                               const RicdParams& params,
+                                               ExtractionStats* stats,
+                                               uint64_t* live_after_core) {
+  engine::WorkerEngine engine(1);
+  const ExtensionBicliqueExtractor extractor(params, &engine);
+  graph::MutableView view(g);
+  extractor.CorePruning(view, stats);
+  *live_after_core = 0;
+  for (VertexId u = 0; u < g.num_users(); ++u) {
+    if (view.IsActive(Side::kUser, u)) {
+      *live_after_core += view.ActiveDegree(Side::kUser, u);
+    }
+  }
+  for (uint32_t sweep = 0; sweep < params.square_pruning_sweeps; ++sweep) {
+    const uint32_t before =
+        view.NumActive(Side::kUser) + view.NumActive(Side::kItem);
+    extractor.SquarePruning(view, /*ordered=*/true, stats);
+    extractor.CorePruning(view, stats);
+    ++stats->sweeps_run;
+    if (view.NumActive(Side::kUser) + view.NumActive(Side::kItem) == before) {
+      break;
+    }
+  }
+  std::vector<graph::Group> groups;
+  for (graph::Group& c : graph::ActiveConnectedComponents(view)) {
+    if (c.users.size() < params.k1 || c.items.size() < params.k2) continue;
+    if (params.max_group_users > 0 && c.users.size() > params.max_group_users) {
+      continue;
+    }
+    groups.push_back(std::move(c));
+  }
+  return groups;
+}
+
+uint64_t SquareInputEdges() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter(obs::metric_names::kRicdExtractionSquareInputEdges)
+      ->Value();
+}
+
+/// Extract at 1, 2 and 4 workers (forced-parallel schedule) against the
+/// uncompacted reference: groups and every ExtractionStats field
+/// bit-identical, and square pruning fed exactly the live edges core
+/// pruning left. Returns the reference groups for shape assertions.
+std::vector<graph::Group> ExpectCompactionMatchesReference(
+    const graph::BipartiteGraph& g, const RicdParams& params) {
+  ExtractionStats ref_stats;
+  uint64_t live_after_core = 0;
+  const std::vector<graph::Group> ref =
+      UncompactedReference(g, params, &ref_stats, &live_after_core);
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    engine::WorkerEngine engine(workers);
+    ExtractionStats stats;
+    const uint64_t edges_before = SquareInputEdges();
+    const auto got =
+        ExtensionBicliqueExtractor(params, &engine, ForcedParallelSchedule())
+            .Extract(g, &stats);
+    EXPECT_EQ(SquareInputEdges() - edges_before, live_after_core);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok()) continue;
+    ExpectSameGroups(ref, *got);
+    ExpectSameStats(ref_stats, stats);
+  }
+  return ref;
+}
+
+class CompactionDifferentialTest
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, std::tuple<uint32_t, uint32_t, double, uint32_t>>> {};
+
+TEST_P(CompactionDifferentialTest, ExtractMatchesUncompactedHooks) {
+  const auto [seed, shape] = GetParam();
+  const auto [k1, k2, alpha, max_group_users] = shape;
+  RicdParams params = MakeParams(k1, k2, alpha);
+  params.max_group_users = max_group_users;
+  for (const bool planted_last : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "planted_last=" << planted_last);
+    const auto g =
+        graph::GraphBuilder::FromTable(MakeWorkload(seed, planted_last)).value();
+    ExpectCompactionMatchesReference(g, params);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndShapes, CompactionDifferentialTest,
+    ::testing::Combine(
+        ::testing::Values(1u, 7u, 42u),
+        ::testing::Values(
+            std::tuple<uint32_t, uint32_t, double, uint32_t>{6, 6, 1.0, 0},
+            std::tuple<uint32_t, uint32_t, double, uint32_t>{5, 5, 0.8, 0},
+            std::tuple<uint32_t, uint32_t, double, uint32_t>{3, 4, 0.6, 0},
+            // Biclique A (10 users) exceeds the cap and is dropped.
+            std::tuple<uint32_t, uint32_t, double, uint32_t>{3, 4, 0.6, 8})));
+
+/// Appends a users x items biclique at the given external id bases.
+void AppendBiclique(table::ClickTable* t, table::UserId user_base,
+                    table::ItemId item_base, uint32_t users, uint32_t items) {
+  for (uint32_t u = 0; u < users; ++u) {
+    for (uint32_t i = 0; i < items; ++i) {
+      t->Append(user_base + u, item_base + i, 3);
+    }
+  }
+}
+
+/// Core pruning removes nothing: Extract square-prunes the source graph
+/// itself. Square pruning still has work: in the circulant every user and
+/// item has degree 3, but no two users share 3 items.
+TEST(CompactionDifferentialTest, CoreRemovesNothing) {
+  table::ClickTable t;
+  AppendBiclique(&t, 100, 1000, 5, 5);
+  for (uint32_t u = 0; u < 12; ++u) {
+    for (uint32_t i = 0; i < 3; ++i) t.Append(200 + u, 2000 + (u + i) % 12, 3);
+  }
+  t.ConsolidateDuplicates();
+  const auto g = graph::GraphBuilder::FromTable(t).value();
+  const RicdParams params = MakeParams(3, 3, 1.0);
+  ExtractionStats stats;
+  graph::MutableView view(g);
+  engine::WorkerEngine engine(1);
+  ExtensionBicliqueExtractor(params, &engine).CorePruning(view, &stats);
+  ASSERT_EQ(stats.users_removed_core + stats.items_removed_core, 0u);
+  ASSERT_EQ(ExpectCompactionMatchesReference(g, params).size(), 1u);
+  ASSERT_TRUE(ExtensionBicliqueExtractor(params, &engine).Extract(g, &stats).ok());
+  EXPECT_EQ(stats.users_removed_square, 12u);
+}
+
+/// Core pruning removes everything: the compact graph is empty, one vacuous
+/// sweep still runs, and no group comes out.
+TEST(CompactionDifferentialTest, CoreRemovesEverything) {
+  const auto g = graph::GraphBuilder::FromTable(MakeWorkload(7)).value();
+  const RicdParams params = MakeParams(40, 40, 1.0);
+  const auto groups = ExpectCompactionMatchesReference(g, params);
+  EXPECT_TRUE(groups.empty());
+}
+
+/// One survivor component against many: the many-component graph checks
+/// that emission order (ascending minimum user) survives the compaction.
+TEST(CompactionDifferentialTest, OneComponentAndMany) {
+  const RicdParams params = MakeParams(6, 6, 1.0);
+  table::ClickTable one = MakeWorkload(11);
+  AppendBiclique(&one, 500, 3000, 8, 8);
+  AppendBiclique(&one, 600, 3004, 8, 8);  // overlaps: still one component
+  one.ConsolidateDuplicates();
+  // Interleave four disjoint bicliques' user ids so ascending-minimum-user
+  // emission differs from insertion order.
+  table::ClickTable many = MakeWorkload(11);
+  AppendBiclique(&many, 900, 4000, 7, 8);
+  AppendBiclique(&many, 700, 5000, 9, 7);
+  AppendBiclique(&many, 800, 6000, 8, 9);
+  AppendBiclique(&many, 600, 7000, 7, 7);
+  many.ConsolidateDuplicates();
+
+  size_t one_groups = 0;
+  size_t many_groups = 0;
+  {
+    SCOPED_TRACE("one component");
+    const auto g = graph::GraphBuilder::FromTable(one).value();
+    one_groups = ExpectCompactionMatchesReference(g, params).size();
+  }
+  {
+    SCOPED_TRACE("many components");
+    const auto g = graph::GraphBuilder::FromTable(many).value();
+    many_groups = ExpectCompactionMatchesReference(g, params).size();
+  }
+  EXPECT_LT(one_groups, many_groups);
+  EXPECT_GE(many_groups, 4u);
+}
 
 /// Frontier CorePruning leaves the view in exactly the state the sequential
 /// deque cascade did: same active sets, same active degrees of the active

@@ -30,6 +30,14 @@
 #
 # Exits non-zero if any selected configuration fails. Build trees live
 # under build-check/ so the default ./build is never clobbered.
+#
+# Multi-core note: two checks only mean something on a host with at least
+# four hardware threads, so run the plain and tsan legs there, not only in
+# a 1-core container. flight_recorder_test (plain and tsan legs) needs
+# writers that really run at once to expose a torn event; run it repeated,
+# e.g. `flight_recorder_test --gtest_repeat=50`. parallel_scaling_assert
+# (plain leg) enforces its 2.0x 4-vs-1 worker floor only when
+# std::thread::hardware_concurrency() >= 4 and skips the floor below that.
 
 set -u
 
